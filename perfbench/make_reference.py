@@ -7,15 +7,13 @@ with ``verify_decomposition``. Only digests of the coreness and of the
 canonical tree are stored; ``checks.py`` maps every seed's output back to
 seed-0 ids before comparing. Run from the repository root::
 
-    python3 perfbench/make_reference.py            # every job
-    python3 perfbench/make_reference.py --missing  # only jobs not yet in it
+    python3 perfbench/make_reference.py
 
-Entries of jobs no workload runs any more are dropped.
+Every job of every workload is recomputed, so no stale entry survives.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -28,7 +26,7 @@ from repro import nucleus_decomposition  # noqa: E402
 from repro.core.validation import verify_decomposition  # noqa: E402
 from repro.graphs.datasets import load_dataset  # noqa: E402
 
-from checks import REFERENCE_PATH, load_reference, output_digests  # noqa: E402
+from checks import REFERENCE_PATH, output_digests  # noqa: E402
 from inputs import WORKLOADS, permutation  # noqa: E402
 
 
@@ -46,18 +44,11 @@ def reference_entry(job) -> dict:
     return entry
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--missing", action="store_true",
-                        help="keep existing entries; compute only new jobs")
-    args = parser.parse_args(argv)
-    old = load_reference() if args.missing else {}
+def main() -> int:
     reference = {}
     for jobs in WORKLOADS.values():
         for job in jobs:
-            if job.key in old:
-                reference[job.key] = old[job.key]
-            elif job.key not in reference:
+            if job.key not in reference:
                 start = time.perf_counter()
                 reference[job.key] = reference_entry(job)
                 print(f"{job.key}: {time.perf_counter() - start:.1f} s",

@@ -40,7 +40,7 @@ from repro.store import load_artifact, write_artifact  # noqa: E402
 import checks  # noqa: E402
 from checks import Tally  # noqa: E402
 from inputs import WORKLOADS, Job, seeded_graphs  # noqa: E402
-from serving import (BATCH_SIZE, BestOf, HttpLeg, InProcessLeg,  # noqa: E402
+from serving import (BATCH_SIZE, HttpLeg, InProcessLeg,  # noqa: E402
                      ServerProcess, Served, run_for)
 from tracing import STAGES, Tracer, staged_build  # noqa: E402
 
@@ -59,10 +59,10 @@ SERVED = {
 #: legs. The HTTP leg stalls about 44 ms per request, so it needs seconds
 #: to collect a hundred requests.
 SHARES = {
-    "build-truss": {"build": 0.65, "in_process": 0.1, "http": 0.2,
-                    "batch": 0.05},
-    "build-high-order": {"build": 0.65, "in_process": 0.1, "http": 0.2,
-                         "batch": 0.05},
+    "build-truss": {"build": 0.62, "in_process": 0.08, "http": 0.2,
+                    "batch": 0.1},
+    "build-high-order": {"build": 0.62, "in_process": 0.08, "http": 0.2,
+                         "batch": 0.1},
     "serve-queries": {"in_process": 0.45, "http": 0.35, "batch": 0.2},
 }
 
@@ -72,13 +72,16 @@ POOL_SIZE = 1500
 #: Longest turn of a serving leg, in seconds (a build turn is one job).
 SLICE_S = 0.25
 
-#: Set-up repetitions; serve-queries builds its artifacts in set-up.
-SETUP_REPEATS = {"build-truss": 3, "build-high-order": 3, "serve-queries": 2}
+#: Set-up repetitions, whose median is ``setup_s``. Set-up of the build
+#: workloads only generates graphs (0.4-0.7 s); serve-queries also builds
+#: its three artifacts (about 7 s).
+SETUP_REPEATS = {"build-truss": 11, "build-high-order": 11,
+                 "serve-queries": 2}
 
 #: Tail percentile reported for each latency sample set, with at least
-#: ten distinct queries beyond it at the default run length. The
-#: in-process p99 moved by half between seeds -- a relabeling changes
-#: which vertex anchors a community query -- so the tail is p95.
+#: ten samples beyond it at the default run length. The in-process p99
+#: moved by half between seeds -- a relabeling changes which vertex
+#: anchors a community query -- so the tail is p95.
 TAIL = {"query": 95, "http": 90}
 
 
@@ -114,7 +117,7 @@ def pin_fastest_cpu(cpus) -> None:
     time, independently of the other, while a neighbour keeps its
     sibling busy. Choosing before every turn keeps the work on the CPU
     that is fast now; it changes where the program runs, not what it
-    does.
+    does, and every sample taken afterwards counts.
     """
     if len(cpus) < 2:
         return
@@ -207,6 +210,14 @@ class Builder:
         return self.steps >= len(self.jobs)
 
 
+def plain_build(job: Job, graph, path: Path) -> float:
+    """Seconds of one ``decompose_to_artifact`` call, after a collection."""
+    gc.collect()
+    began = time.perf_counter()
+    decompose_to_artifact(graph, job.r, job.s, str(path))
+    return time.perf_counter() - began
+
+
 def store_build(job: Job, graph, path: Path):
     """The ``repro store build`` sequence; returns the in-memory pair."""
     result = nucleus_decomposition(graph, job.r, job.s)
@@ -221,9 +232,12 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
              tally: Tally, info: Dict[str, Any]) -> Dict[str, Tuple[float, str]]:
     """End-to-end metrics, measured with tracing off.
 
-    Times are best-of per distinct item: a build job's best pass, a
-    query's or a batch's best run. Medians and tails are then taken over
-    the distinct items.
+    Every timed sample counts: ``build_s`` sums each job's median pass,
+    latencies are percentiles of all timed queries, and ``batch_qps``
+    divides the queries of one pass through the pool by the sum of each
+    distinct batch's median latency. Summing per item keeps a run that
+    happened to time some jobs or batches more often than others from
+    weighing them more.
     """
     jobs = WORKLOADS[workload]
     outputs = Outputs(tally)
@@ -275,15 +289,7 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
             builder = Builder(jobs, graphs, workdir, outputs, tally)
             tasks["build"] = (shares["build"], builder.step)
             ready = builder.one_pass_done
-        # The benchmark's own heap (graphs, reference decompositions,
-        # expected answers) would otherwise be rescanned by every full
-        # collection, stalling whichever query or build it lands in.
-        gc.collect()
-        gc.freeze()
-        try:
-            used = interleave(tasks, seconds, ready)
-        finally:
-            gc.unfreeze()
+        used = interleave(tasks, seconds, ready)
         peak_main_mb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
         http_us, batch_s = http.finish(info)
@@ -297,20 +303,22 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
     q, h = TAIL["query"], TAIL["http"]
     info["seconds_used"] = {k: round(v, 2) for k, v in used.items()}
     info["builds_per_job"] = min(len(t) for t in build_times.values())
-    info["distinct"] = {"query": len(query_us), "http": len(http_us),
-                        "batch": len(batch_s)}
+    info["samples"] = {"query": len(query_us), "http": len(http_us),
+                       "batch": sum(map(len, batch_s.values()))}
     info["beyond_tail"] = {"query": beyond(len(query_us), q),
                            "http": beyond(len(http_us), h)}
     return {
         "setup_s": (statistics.median(setup_times), "s"),
-        "build_s": (sum(min(t) for t in build_times.values() if t), "s"),
+        "build_s": (sum(statistics.median(t)
+                        for t in build_times.values() if t), "s"),
         "peak_rss_mb": (server.peak_rss_mb if serving_only else peak_main_mb,
                         "MB"),
         "query_p50_us": (percentile(query_us, 50), "us"),
         f"query_p{q}_us": (percentile(query_us, q), "us"),
         "http_p50_us": (percentile(http_us, 50), "us"),
         f"http_p{h}_us": (percentile(http_us, h), "us"),
-        "batch_qps": (BATCH_SIZE * len(batch_s) / sum(batch_s)
+        "batch_qps": (BATCH_SIZE * len(batch_s)
+                      / sum(map(statistics.median, batch_s.values()))
                       if batch_s else 0.0, "1/s"),
     }
 
@@ -321,8 +329,12 @@ def traced(workload: str, seed: int, seconds: float, workdir: Path,
            tally: Tally, info: Dict[str, Any]) -> Dict[str, Tuple[float, str]]:
     """Per-layer metrics: staged builds, then direct store and service calls.
 
-    Each job is built twice: untraced through ``decompose_to_artifact``,
-    then staged in spans, whose artifact must equal the untraced one.
+    Each job is built three times: untraced through
+    ``decompose_to_artifact``, staged in spans (whose artifact must equal
+    the untraced one), and untraced again. ``trace.unattributed_s``
+    compares the staged build with the mean of the two untraced builds
+    around it, so neither side pays the job's warm-up alone and a slow
+    phase of the host weighs on both.
     """
     jobs = WORKLOADS[workload]
     graphs = seeded_graphs(jobs, seed)
@@ -337,13 +349,11 @@ def traced(workload: str, seed: int, seconds: float, workdir: Path,
         plain = workdir / f"{job.key}.plain.nda"
         staged = workdir / f"{job.key}.staged.nda"
         tally.attempted += 1
-        gc.collect()
-        began = time.perf_counter()
-        decompose_to_artifact(graph, job.r, job.s, str(plain))
-        untraced_s += time.perf_counter() - began
-        outputs.add(job, plain, perm)
+        first = plain_build(job, graph, plain)
         gc.collect()
         out = staged_build(graph, job.r, job.s, str(staged), tracer, job.key)
+        untraced_s += (first + plain_build(job, graph, plain)) / 2
+        outputs.add(job, plain, perm)
         if (checks.column_fingerprint(str(staged))
                 != checks.column_fingerprint(str(plain))):
             tally.fail(f"{job.key}: staged artifact differs from the "
@@ -402,8 +412,8 @@ def traced_queries(served: Served, seconds: float, tracer: Tracer,
                 opens.append((time.perf_counter() - began) * 1e3)
     artifacts = {name: load_artifact(path)
                  for name, path in served.paths.items()}
-    by_op: Dict[str, BestOf] = {}
-    encode = BestOf()
+    by_op: Dict[str, List[float]] = {}
+    encode: List[float] = []
     with tracer.span("store.answer"):
         for i in run_for(seconds * 0.2):
             j, op, params = served.item(i)
@@ -411,12 +421,12 @@ def traced_queries(served: Served, seconds: float, tracer: Tracer,
             tally.attempted += 1
             began = time.perf_counter()
             answer = _direct(artifact, op, params)
-            by_op.setdefault(op, BestOf()).add(
-                j, (time.perf_counter() - began) * 1e6)
+            by_op.setdefault(op, []).append(
+                (time.perf_counter() - began) * 1e6)
             began = time.perf_counter()
             payload = _encode(op, answer, params)
             json.dumps(payload)
-            encode.add(j, (time.perf_counter() - began) * 1e6)
+            encode.append((time.perf_counter() - began) * 1e6)
             if (checks.digest(checks.normalize(payload))
                     != served.expected[j]):
                 tally.fail(f"store {op} {params}: wrong answer")
@@ -431,20 +441,20 @@ def traced_queries(served: Served, seconds: float, tracer: Tracer,
         with tracer.span("service.http"):
             http.run_single(seconds * 0.2)
         http_us, _ = http.finish(info)
-    every = [t for best in by_op.values() for t in best.values()]
+    every = [t for samples in by_op.values() for t in samples]
     query_p50 = percentile(query_us, 50)
     return {
         "store.open_ms": (statistics.median(opens), "ms"),
         "store.membership_p50_us": (
-            percentile(by_op["membership"].values(), 50), "us"),
+            percentile(by_op["membership"], 50), "us"),
         "store.community_p50_us": (
-            percentile(by_op["community"].values(), 50), "us"),
+            percentile(by_op["community"], 50), "us"),
         "store.strongest_p50_us": (
-            percentile(by_op["strongest_community"].values(), 50), "us"),
+            percentile(by_op["strongest_community"], 50), "us"),
         "store.coreness_p50_us": (
-            percentile(by_op["coreness"].values(), 50), "us"),
+            percentile(by_op["coreness"], 50), "us"),
         "store.answer_p99_us": (percentile(every, 99), "us"),
-        "service.encode_p50_us": (percentile(encode.values(), 50), "us"),
+        "service.encode_p50_us": (percentile(encode, 50), "us"),
         "service.query_p50_us": (query_p50, "us"),
         "service.cache_hit_rate": (info["cache_hit_rate"], "ratio"),
         "service.http_p50_us": (percentile(http_us, 50) - query_p50, "us"),

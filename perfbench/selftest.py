@@ -1,6 +1,6 @@
 """Self-test: the traced run's exact counts repeat exactly for one seed.
 
-Builds every job of the chosen workloads twice through the staged default
+Builds every job of every workload twice through the staged default
 pipeline (``tracing.staged_build``) and compares the counts the traced run
 reports -- ``cliques.n_s``, ``core.rho``, ``core.link_calls``,
 ``core.work``, ``core.span`` and the rest -- plus the artifact's column
@@ -35,9 +35,6 @@ def exact_counts(job, graph, path: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        action="append",
-                        help="workload to check (repeatable; default all)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     (ROOT / ".perfbench").mkdir(exist_ok=True)
@@ -45,7 +42,7 @@ def main(argv=None) -> int:
                                     dir=ROOT / ".perfbench"))
     failures = 0
     try:
-        for workload in args.workload or sorted(WORKLOADS):
+        for workload in sorted(WORKLOADS):
             jobs = WORKLOADS[workload]
             graphs = seeded_graphs(jobs, args.seed)
             for job in jobs:

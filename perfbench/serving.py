@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import os
 import re
 import selectors
@@ -35,9 +34,6 @@ from checks import Tally
 from inputs import query_pool
 
 BATCH_SIZE = 100
-#: The batch leg cycles over this many distinct batches (from the pool's
-#: start), so each is timed several times.
-BATCHES = 15
 WARMUP = {"in_process": 200, "http": 20, "batch": 2}
 
 _BANNER = re.compile(r"http://([0-9.]+):([0-9]+)")
@@ -159,24 +155,6 @@ def run_for(seconds: float):
         i += 1
 
 
-class BestOf:
-    """The fastest observation of each distinct item (job, query, batch).
-
-    On a shared host, interference comes in bursts of seconds and only
-    ever slows work down; an item's best run is its time without them.
-    """
-
-    def __init__(self) -> None:
-        self.best: Dict[Any, float] = {}
-
-    def add(self, key: Any, value: float) -> None:
-        if value < self.best.get(key, math.inf):
-            self.best[key] = value
-
-    def values(self) -> List[float]:
-        return list(self.best.values())
-
-
 class Served:
     """Artifacts to serve, a seeded query pool, and its expected answers.
 
@@ -226,9 +204,9 @@ class Served:
 class InProcessLeg:
     """Leg (a): ``DecompositionService.query``, closed loop, one caller.
 
-    Runs in slices (:meth:`run`) so that a query's repeats spread over
-    the whole run; :meth:`finish` checks the service's error counters and
-    returns the best latency (µs) of each distinct pool query.
+    Runs in slices (:meth:`run`) so that the samples spread over the
+    whole run; :meth:`finish` checks the service's error counters and
+    returns the latency (µs) of every timed query.
     """
 
     def __init__(self, served: Served, tally: Tally) -> None:
@@ -241,7 +219,7 @@ class InProcessLeg:
             _, op, params = served.item(i)
             self.service.query(op, params)
         self.errors_before = _service_errors(self.service.stats())
-        self.best = BestOf()
+        self.samples: List[float] = []
         self.raised = 0
         self.cursor = WARMUP["in_process"]
 
@@ -260,7 +238,7 @@ class InProcessLeg:
                 continue
             elapsed = time.perf_counter() - began
             if self.served.matches(j, answer):
-                self.best.add(j, elapsed * 1e6)
+                self.samples.append(elapsed * 1e6)
             else:
                 self.tally.fail(f"in-process {op} {params}: wrong answer")
 
@@ -272,7 +250,7 @@ class InProcessLeg:
         info["warmup_in_process"] = WARMUP["in_process"] + len(
             self.served.paths)
         info["cache_hit_rate"] = stats["cache"]["hit_rate"]
-        return self.best.values()
+        return self.samples
 
 
 def _service_errors(stats: Dict[str, Any]) -> int:
@@ -285,9 +263,8 @@ class HttpLeg:
     Like :class:`InProcessLeg` it runs in slices. :meth:`finish` checks
     that the server's per-endpoint ``errors`` match the rejected single
     queries (a batch reports per-query errors in place instead) and that
-    one connection carried everything, then returns the best latency (µs)
-    of each distinct query and the best latency (s) of each distinct
-    batch.
+    one connection carried everything, then returns the latency (µs) of
+    every timed query and the latencies (s) of each distinct batch.
     """
 
     def __init__(self, served: Served, server: ServerProcess,
@@ -295,13 +272,15 @@ class HttpLeg:
         self.served = served
         self.tally = tally
         self.client = KeepAliveClient(server.host, server.port)
+        self.n_batches = max(1, len(served.pool) // BATCH_SIZE)
         for i in range(WARMUP["http"]):
             _, op, params = served.item(i)
             self.client.request("POST", f"/{op}", params)
         for k in range(WARMUP["batch"]):
             self.client.request("POST", "/batch", self._batch(k)[0])
         self.errors_before = self._server_errors()
-        self.single, self.batches = BestOf(), BestOf()
+        self.single: List[float] = []
+        self.batches: Dict[int, List[float]] = {}
         self.rejected = 0
         self.cursor = WARMUP["http"]
         self.batch_cursor = 0
@@ -322,7 +301,7 @@ class HttpLeg:
                 self.rejected += 1
                 self.tally.fail(f"http {op}: status {status}: {answer}")
             elif self.served.matches(j, answer):
-                self.single.add(j, elapsed * 1e6)
+                self.single.append(elapsed * 1e6)
             else:
                 self.tally.fail(f"http {op} {params}: wrong answer")
 
@@ -345,11 +324,16 @@ class HttpLeg:
             if wrong:
                 self.tally.fail(f"http batch: {wrong} wrong answers", wrong)
             else:
-                self.batches.add(k % BATCHES, elapsed)
+                self.batches.setdefault(k % self.n_batches, []).append(
+                    elapsed)
 
     def _batch(self, k: int):
-        """``(/batch body, pool positions)`` of the ``k``-th batch sent."""
-        start = (k % BATCHES) * BATCH_SIZE
+        """``(/batch body, pool positions)`` of the ``k``-th batch sent.
+
+        The pool splits into ``n_batches`` consecutive stretches, and
+        the batch leg cycles through them like the single-query legs.
+        """
+        start = (k % self.n_batches) * BATCH_SIZE
         queries, positions = [], []
         for i in range(start, start + BATCH_SIZE):
             j, op, params = self.served.item(i)
@@ -357,7 +341,8 @@ class HttpLeg:
             positions.append(j)
         return {"queries": queries}, positions
 
-    def finish(self, info: Dict[str, Any]) -> Tuple[List[float], List[float]]:
+    def finish(self, info: Dict[str, Any]
+               ) -> Tuple[List[float], Dict[int, List[float]]]:
         try:
             if self._server_errors() - self.errors_before != self.rejected:
                 self.tally.fail("server error counters disagree with the "
@@ -369,4 +354,4 @@ class HttpLeg:
             self.client.close()
         info["warmup_http"] = WARMUP["http"]
         info["warmup_batches"] = WARMUP["batch"]
-        return self.single.values(), self.batches.values()
+        return self.single, self.batches
