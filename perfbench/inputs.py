@@ -86,8 +86,10 @@ def query_pool(cliques_by_name: Dict[str, np.ndarray], size: int,
     """A seeded list of ``(op, params)`` point queries over the artifacts.
 
     ``cliques_by_name`` maps each artifact name to its r-clique vertex
-    rows. The artifacts take turns, and the operations follow
-    :data:`QUERY_MIX` exactly, in seeded order. Vertex queries draw,
+    rows. Every artifact gets an equal part of the pool, split exactly by
+    :data:`QUERY_MIX`, in seeded order: query costs differ by artifact and
+    operation by up to 50x, so a pool whose mix moved with the seed would
+    move the median with it. Vertex queries draw,
     without replacement, a vertex that lies in some r-clique;
     ``community`` and ``coreness`` draw an r-clique the same way and query
     its vertices. Drawing without replacement keeps the tail of a pool
@@ -96,9 +98,11 @@ def query_pool(cliques_by_name: Dict[str, np.ndarray], size: int,
     dominate the tail.
     """
     rng = random.Random(seed)
-    ops = [op for op, share in QUERY_MIX for _ in range(round(share * size))]
-    rng.shuffle(ops)
     names = sorted(cliques_by_name)
+    part = size // len(names)
+    pairs = [(op, name) for name in names for op, share in QUERY_MIX
+             for _ in range(round(share * part))]
+    rng.shuffle(pairs)
     draws = {}
     for name in names:
         rows = cliques_by_name[name]
@@ -108,8 +112,7 @@ def query_pool(cliques_by_name: Dict[str, np.ndarray], size: int,
         rng.shuffle(order)
         draws[name] = (itertools.cycle(vertices), itertools.cycle(order))
     pool = []
-    for i, op in enumerate(ops):
-        name = names[i % len(names)]
+    for op, name in pairs:
         vertex_draw, clique_draw = draws[name]
         if op in ("membership", "strongest_community"):
             params = {"vertex": next(vertex_draw)}
