@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload build-truss --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload build-truss --seed 1 --seconds 35 --trace 0
 
 Every workload sets up its seeded graphs, builds artifacts through the
 default public entry points, serves queries over them, and checks every
@@ -28,6 +28,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -59,11 +61,11 @@ SERVED = {
 #: legs. The HTTP leg stalls about 44 ms per request, so it needs seconds
 #: to collect a hundred requests.
 SHARES = {
-    "build-truss": {"build": 0.62, "in_process": 0.08, "http": 0.2,
-                    "batch": 0.1},
-    "build-high-order": {"build": 0.62, "in_process": 0.08, "http": 0.2,
-                         "batch": 0.1},
-    "serve-queries": {"in_process": 0.45, "http": 0.35, "batch": 0.2},
+    "build-truss": {"build": 0.6, "in_process": 0.1, "http": 0.16,
+                    "batch": 0.14},
+    "build-high-order": {"build": 0.6, "in_process": 0.1, "http": 0.16,
+                         "batch": 0.14},
+    "serve-queries": {"in_process": 0.5, "http": 0.2, "batch": 0.3},
 }
 
 #: Distinct queries in the pool each leg cycles through; 30 batches.
@@ -76,7 +78,7 @@ SLICE_S = 0.25
 #: workloads only generates graphs (0.4-0.7 s); serve-queries also builds
 #: its three artifacts (about 7 s).
 SETUP_REPEATS = {"build-truss": 11, "build-high-order": 11,
-                 "serve-queries": 2}
+                 "serve-queries": 3}
 
 #: Tail percentile reported for each latency sample set, with at least
 #: ten samples beyond it at the default run length. The in-process p99
@@ -98,45 +100,64 @@ def beyond(n: int, q: float) -> int:
     return n - math.ceil(q / 100 * n)
 
 
-def _probe_ms() -> float:
-    """A fixed pure-Python loop, about a millisecond; best of two."""
-    best = math.inf
-    for _ in range(2):
+#: About what :func:`calibration_ms` takes on a 2.1 GHz Xeon vCPU that
+#: no neighbour slows. Times scaled to it read as if measured on such a
+#: CPU.
+REFERENCE_CALIBRATION_MS = 0.4
+
+_CALIBRATION_COLUMN = np.arange(5000, dtype=np.int64)
+
+
+def calibration_ms() -> float:
+    """A fixed answer-encoding loop, about 0.4 ms; median of five.
+
+    It does what dominates a point query and much of a build's glue --
+    turning an integer column into Python lists and dicts -- but calls
+    nothing of the repository, so a change to the program cannot move
+    it, while the host's slow phases slow it as they slow the program.
+    The median, not the minimum, follows a CPU that is slowed part of
+    the time, as the program's samples are.
+    """
+    times = []
+    for _ in range(5):
         began = time.perf_counter()
-        total = 0
-        for i in range(15_000):
-            total += i * i
-        best = min(best, time.perf_counter() - began)
-    return best * 1e3
+        for _ in range(4):
+            values = _CALIBRATION_COLUMN.tolist()
+            [{"vertices": values[i:i + 50], "n": 50}
+             for i in range(0, len(values), 50)]
+        times.append(time.perf_counter() - began)
+    return statistics.median(times) * 1e3
 
 
-def pin_fastest_cpu(cpus) -> None:
-    """Move this process to whichever of ``cpus`` runs the probe fastest.
+def pin_fastest_cpu(cpus) -> float:
+    """Move to whichever of ``cpus`` runs the calibration loop fastest.
 
-    On a shared host each CPU slows down by up to half for seconds at a
+    On a shared host each CPU slows down by up to half for minutes at a
     time, independently of the other, while a neighbour keeps its
     sibling busy. Choosing before every turn keeps the work on the CPU
     that is fast now; it changes where the program runs, not what it
-    does, and every sample taken afterwards counts.
+    does, and every sample taken afterwards counts. Returns the
+    calibration time (ms) of the chosen CPU.
     """
-    if len(cpus) < 2:
-        return
     speeds = {}
     for cpu in cpus:
         os.sched_setaffinity(0, {cpu})
-        speeds[cpu] = _probe_ms()
-    os.sched_setaffinity(0, {min(speeds, key=speeds.get)})
+        speeds[cpu] = calibration_ms()
+    fastest = min(speeds, key=speeds.get)
+    os.sched_setaffinity(0, {fastest})
+    return speeds[fastest]
 
 
-def interleave(tasks: Dict[str, Tuple[float, Callable[[float], None]]],
+def interleave(tasks: Dict[str, Tuple[float, Callable[[float, float], None]]],
                seconds: float, ready: Callable[[], bool]) -> Dict[str, float]:
     """Run ``{name: (share, step)}`` in turns for ``seconds``; time used.
 
     Each turn goes to the task furthest behind its share, and
-    ``step(SLICE_S)`` runs one turn. Interleaving spreads every task's
-    repeats over the whole run: on a shared host, interference comes in
-    bursts of seconds, and a task run in one block could sit inside one.
-    Turns continue past ``seconds`` until ``ready()`` holds.
+    ``step(SLICE_S, scale)`` runs one turn, where ``scale`` converts the
+    turn's times to the reference host speed. Interleaving spreads every
+    task's repeats over the whole run: on a shared host, interference
+    comes in bursts of seconds, and a task run in one block could sit
+    inside one. Turns continue past ``seconds`` until ``ready()`` holds.
     """
     cpus = sorted(os.sched_getaffinity(0))
     used = {name: 0.0 for name in tasks}
@@ -144,13 +165,22 @@ def interleave(tasks: Dict[str, Tuple[float, Callable[[float], None]]],
     try:
         while time.perf_counter() - start < seconds or not ready():
             name = min(used, key=lambda n: used[n] / tasks[n][0])
-            pin_fastest_cpu(cpus)
+            scale = REFERENCE_CALIBRATION_MS / pin_fastest_cpu(cpus)
             began = time.perf_counter()
-            tasks[name][1](SLICE_S)
+            tasks[name][1](SLICE_S, scale)
             used[name] += time.perf_counter() - began
     finally:
         os.sched_setaffinity(0, cpus)
     return used
+
+
+def timed(cpus, fn: Callable[[], Any]) -> Tuple[Any, float, float]:
+    """``(fn(), seconds as measured, seconds at the reference speed)``."""
+    scale = REFERENCE_CALIBRATION_MS / pin_fastest_cpu(cpus)
+    began = time.perf_counter()
+    out = fn()
+    elapsed = time.perf_counter() - began
+    return out, elapsed, elapsed * scale
 
 
 # -- building ------------------------------------------------------------------
@@ -188,9 +218,10 @@ class Builder:
         self.outputs = outputs
         self.tally = tally
         self.times: Dict[str, List[float]] = {job.key: [] for job in jobs}
+        self.scaled: Dict[str, List[float]] = {job.key: [] for job in jobs}
         self.steps = 0
 
-    def step(self, _slice: float) -> None:
+    def step(self, _slice: float, scale: float) -> None:
         job = self.jobs[self.steps % len(self.jobs)]
         graph, perm = self.graphs[(job.dataset, job.scale)]
         path = self.workdir / f"{job.key}.{self.steps}.nda"
@@ -204,6 +235,7 @@ class Builder:
             self.tally.fail(f"{job.key}: {type(exc).__name__}: {exc}")
             return
         self.times[job.key].append(time.perf_counter() - began)
+        self.scaled[job.key].append(self.times[job.key][-1] * scale)
         self.outputs.add(job, path, perm)
 
     def one_pass_done(self) -> bool:
@@ -236,36 +268,40 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
     latencies are the mean or percentiles of all timed queries (the
     in-process median sits between two clusters of query costs on
     serve-queries, see README.md, so the mean stands in for it), and
-    ``batch_qps``
-    divides the queries of one pass through the pool by the sum of each
-    distinct batch's median latency. Summing per item keeps a run that
-    happened to time some jobs or batches more often than others from
-    weighing them more.
+    ``batch_qps`` divides the queries of one pass through the pool by
+    the sum of each distinct batch's median latency. Summing per item
+    keeps a run that happened to time some jobs or batches more often
+    than others from weighing them more. Every metric but the peak RSS
+    and the HTTP latencies is taken at the reference host speed; the
+    ``info`` line gives them as measured too.
     """
     jobs = WORKLOADS[workload]
     outputs = Outputs(tally)
-    setup_times: List[float] = []
+    setup_times: Dict[str, List[float]] = {"measured": [], "scaled": []}
     build_times: Dict[str, List[float]] = {}
+    build_scaled: Dict[str, List[float]] = {}
     references: Dict[str, Tuple] = {}
     paths: Dict[str, str] = {}
     serving_only = "build" not in SHARES[workload]
     cpus = sorted(os.sched_getaffinity(0))
     for rep in range(SETUP_REPEATS[workload]):
         gc.collect()
-        pin_fastest_cpu(cpus)
-        began = time.perf_counter()
-        graphs = seeded_graphs(jobs, seed)
+        graphs, measured, scaled = timed(
+            cpus, lambda: seeded_graphs(jobs, seed))
         for job in jobs if serving_only else ():
             graph, perm = graphs[(job.dataset, job.scale)]
             path = workdir / f"{job.key}.setup{rep}.nda"
             tally.attempted += 1
-            built = time.perf_counter()
-            references[job.key] = store_build(job, graph, path)
-            build_times.setdefault(job.key, []).append(
-                time.perf_counter() - built)
+            references[job.key], built, built_scaled = timed(
+                cpus, lambda: store_build(job, graph, path))
+            build_times.setdefault(job.key, []).append(built)
+            build_scaled.setdefault(job.key, []).append(built_scaled)
+            measured += built
+            scaled += built_scaled
             outputs.add(job, path, perm)
             paths[job.key] = str(path)
-        setup_times.append(time.perf_counter() - began)
+        setup_times["measured"].append(measured)
+        setup_times["scaled"].append(scaled)
     os.sched_setaffinity(0, cpus)
     if not serving_only:
         by_key = {job.key: job for job in jobs}
@@ -295,10 +331,10 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
         used = interleave(tasks, seconds, ready)
         peak_main_mb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
-        http_us, batch_s = http.finish(info)
-    query_us = in_process.finish(info)
+        http_us, batch_s, batch_scaled = http.finish(info)
+    query_us, query_scaled = in_process.finish(info)
     if not serving_only:
-        build_times = builder.times
+        build_times, build_scaled = builder.times, builder.scaled
     outputs.check()
     if not server.peak_rss_mb:
         tally.fail("the server exited before its peak RSS was read", 0)
@@ -310,22 +346,43 @@ def untraced(workload: str, seed: int, seconds: float, workdir: Path,
                        "batch": sum(map(len, batch_s.values()))}
     info["beyond_tail"] = {"query": beyond(len(query_us), q),
                            "http": beyond(len(http_us), h)}
-    info["query_p50_us"] = round(percentile(query_us, 50), 1)
+    info["as_measured"] = {
+        "setup_s": round(statistics.median(setup_times["measured"]), 4),
+        "build_s": round(sum_of_medians(build_times), 4),
+        "query_p50_us": round(percentile(query_us, 50), 1),
+        "query_mean_us": round(mean(query_us), 1),
+        f"query_p{q}_us": round(percentile(query_us, q), 1),
+        "batch_qps": round(qps(batch_s), 1),
+    }
     return {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "build_s": (sum(statistics.median(t)
-                        for t in build_times.values() if t), "s"),
+        "setup_s": (statistics.median(setup_times["scaled"]), "s"),
+        "build_s": (sum_of_medians(build_scaled), "s"),
         "peak_rss_mb": (server.peak_rss_mb if serving_only else peak_main_mb,
                         "MB"),
-        "query_mean_us": (statistics.fmean(query_us) if query_us else 0.0,
-                          "us"),
-        f"query_p{q}_us": (percentile(query_us, q), "us"),
+        "query_mean_us": (mean(query_scaled), "us"),
+        f"query_p{q}_us": (percentile(query_scaled, q), "us"),
         "http_p50_us": (percentile(http_us, 50), "us"),
         f"http_p{h}_us": (percentile(http_us, h), "us"),
-        "batch_qps": (BATCH_SIZE * len(batch_s)
-                      / sum(map(statistics.median, batch_s.values()))
-                      if batch_s else 0.0, "1/s"),
+        "batch_qps": (qps(batch_scaled), "1/s"),
     }
+
+
+def mean(samples: List[float]) -> float:
+    """The mean; 0.0 when every sample failed its check."""
+    return statistics.fmean(samples) if samples else 0.0
+
+
+def sum_of_medians(times: Dict[str, List[float]]) -> float:
+    """One pass over the jobs: the sum of each job's median time."""
+    return sum(statistics.median(t) for t in times.values() if t)
+
+
+def qps(batches: Dict[int, List[float]]) -> float:
+    """Queries of one pass through the batches over its median time."""
+    if not batches:
+        return 0.0
+    return BATCH_SIZE * len(batches) / sum(map(statistics.median,
+                                               batches.values()))
 
 
 # -- traced run ------------------------------------------------------------------
@@ -440,12 +497,12 @@ def traced_queries(served: Served, seconds: float, tracer: Tracer,
     in_process = InProcessLeg(served, tally)
     with tracer.span("service.query"):
         in_process.run(seconds * 0.2)
-    query_us = in_process.finish(info)
+    query_us, _ = in_process.finish(info)
     with ServerProcess(ROOT, served.paths, workdir / "serve.log") as server:
         http = HttpLeg(served, server, tally)
         with tracer.span("service.http"):
             http.run_single(seconds * 0.2)
-        http_us, _ = http.finish(info)
+        http_us, _, _ = http.finish(info)
     every = [t for samples in by_op.values() for t in samples]
     query_p50 = percentile(query_us, 50)
     return {
@@ -494,7 +551,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

@@ -9,7 +9,9 @@ grace period), even when a check fails. Its peak RSS is read from its
 Every leg is a closed loop with one caller, cycling through a seeded
 pool of point queries whose expected answers come from the in-memory
 ``HierarchyQueryIndex``. Warm-up queries and the artifact-cache fill are
-not timed.
+not timed. Each turn of a leg gets a ``scale`` that converts its times to
+the reference host speed (see ``run.py``); the legs keep both the times
+as measured and the scaled ones.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ class InProcessLeg:
 
     Runs in slices (:meth:`run`) so that the samples spread over the
     whole run; :meth:`finish` checks the service's error counters and
-    returns the latency (µs) of every timed query.
+    returns the latency (µs) of every timed query, as measured and
+    scaled.
     """
 
     def __init__(self, served: Served, tally: Tally) -> None:
@@ -220,10 +223,11 @@ class InProcessLeg:
             self.service.query(op, params)
         self.errors_before = _service_errors(self.service.stats())
         self.samples: List[float] = []
+        self.scaled: List[float] = []
         self.raised = 0
         self.cursor = WARMUP["in_process"]
 
-    def run(self, seconds: float) -> None:
+    def run(self, seconds: float, scale: float = 1.0) -> None:
         for _ in run_for(seconds):
             j, op, params = self.served.item(self.cursor)
             self.cursor += 1
@@ -239,10 +243,12 @@ class InProcessLeg:
             elapsed = time.perf_counter() - began
             if self.served.matches(j, answer):
                 self.samples.append(elapsed * 1e6)
+                self.scaled.append(elapsed * 1e6 * scale)
             else:
                 self.tally.fail(f"in-process {op} {params}: wrong answer")
 
-    def finish(self, info: Dict[str, Any]) -> List[float]:
+    def finish(self, info: Dict[str, Any]
+               ) -> Tuple[List[float], List[float]]:
         stats = self.service.stats()
         if _service_errors(stats) - self.errors_before != self.raised:
             self.tally.fail("in-process service error counters disagree "
@@ -250,7 +256,7 @@ class InProcessLeg:
         info["warmup_in_process"] = WARMUP["in_process"] + len(
             self.served.paths)
         info["cache_hit_rate"] = stats["cache"]["hit_rate"]
-        return self.samples
+        return self.samples, self.scaled
 
 
 def _service_errors(stats: Dict[str, Any]) -> int:
@@ -264,7 +270,9 @@ class HttpLeg:
     that the server's per-endpoint ``errors`` match the rejected single
     queries (a batch reports per-query errors in place instead) and that
     one connection carried everything, then returns the latency (µs) of
-    every timed query and the latencies (s) of each distinct batch.
+    every timed query and the latencies (s) of each distinct batch, as
+    measured and scaled. Single requests are not scaled: a delayed-ACK
+    timer, not the CPU, sets their latency.
     """
 
     def __init__(self, served: Served, server: ServerProcess,
@@ -281,6 +289,7 @@ class HttpLeg:
         self.errors_before = self._server_errors()
         self.single: List[float] = []
         self.batches: Dict[int, List[float]] = {}
+        self.scaled_batches: Dict[int, List[float]] = {}
         self.rejected = 0
         self.cursor = WARMUP["http"]
         self.batch_cursor = 0
@@ -289,7 +298,7 @@ class HttpLeg:
         _, stats = self.client.request("GET", "/stats")
         return _service_errors(stats)
 
-    def run_single(self, seconds: float) -> None:
+    def run_single(self, seconds: float, _scale: float = 1.0) -> None:
         for _ in run_for(seconds):
             j, op, params = self.served.item(self.cursor)
             self.cursor += 1
@@ -305,7 +314,7 @@ class HttpLeg:
             else:
                 self.tally.fail(f"http {op} {params}: wrong answer")
 
-    def run_batch(self, seconds: float) -> None:
+    def run_batch(self, seconds: float, scale: float = 1.0) -> None:
         for _ in run_for(seconds):
             k = self.batch_cursor
             self.batch_cursor += 1
@@ -326,6 +335,8 @@ class HttpLeg:
             else:
                 self.batches.setdefault(k % self.n_batches, []).append(
                     elapsed)
+                self.scaled_batches.setdefault(k % self.n_batches,
+                                               []).append(elapsed * scale)
 
     def _batch(self, k: int):
         """``(/batch body, pool positions)`` of the ``k``-th batch sent.
@@ -341,8 +352,8 @@ class HttpLeg:
             positions.append(j)
         return {"queries": queries}, positions
 
-    def finish(self, info: Dict[str, Any]
-               ) -> Tuple[List[float], Dict[int, List[float]]]:
+    def finish(self, info: Dict[str, Any]) -> Tuple[
+            List[float], Dict[int, List[float]], Dict[int, List[float]]]:
         try:
             if self._server_errors() - self.errors_before != self.rejected:
                 self.tally.fail("server error counters disagree with the "
@@ -354,4 +365,4 @@ class HttpLeg:
             self.client.close()
         info["warmup_http"] = WARMUP["http"]
         info["warmup_batches"] = WARMUP["batch"]
-        return self.single, self.batches
+        return self.single, self.batches, self.scaled_batches
