@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload build-truss --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload build-truss --seed 1 --seconds 30 --trace 0
 
 Every workload sets up its seeded graphs, builds artifacts through the
 default public entry points, serves queries over them, and checks every
@@ -61,9 +61,9 @@ SERVED = {
 #: legs. The HTTP leg stalls about 44 ms per request, so it needs seconds
 #: to collect a hundred requests.
 SHARES = {
-    "build-truss": {"build": 0.6, "in_process": 0.1, "http": 0.16,
+    "build-truss": {"build": 0.6, "in_process": 0.08, "http": 0.18,
                     "batch": 0.14},
-    "build-high-order": {"build": 0.6, "in_process": 0.1, "http": 0.16,
+    "build-high-order": {"build": 0.6, "in_process": 0.08, "http": 0.18,
                          "batch": 0.14},
     "serve-queries": {"in_process": 0.5, "http": 0.2, "batch": 0.3},
 }
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
