@@ -1,11 +1,13 @@
 """Figure 7: best hierarchy construction time per (r, s), r < s <= 7.
 
 For every stand-in graph and every (r, s) with ``r < s <= 7``, runs the
-method the paper's selection rule picks (the fastest of ANH-TE/ANH-EL in
-practice -- Section 8.1) and reports each configuration's slowdown over
-the per-graph fastest, exactly like Figure 7's bars. Configurations whose
-estimated work exceeds the budget are reported as OOM/timeout, mirroring
-the paper's omitted bars (its friendster and large-(r,s) cases).
+default ``nucleus_decomposition(graph, r, s)`` -- CSR incidence,
+vectorized peel, array ANH-TE tree -- and reports each configuration's
+slowdown over the per-graph fastest, exactly like Figure 7's bars. Each
+row records the incidence strategy and method the run reported.
+Configurations whose estimated work exceeds the budget are reported as
+OOM/timeout, mirroring the paper's omitted bars (its friendster and
+large-(r,s) cases).
 
 ``--json`` additionally writes ``BENCH_fig7.json`` at the repo root: the
 grid rows, a dict-vs-CSR peeling comparison (the flat-array layout +
@@ -30,7 +32,6 @@ from repro.analysis.reporting import banner, format_table
 from repro.cliques.enumeration import enumerate_cliques
 from repro.cliques.incidence import build_incidence
 from repro.cliques.list_kernel import clique_matrix
-from repro.core.api import choose_method
 from repro.core.nucleus import peel_exact, prepare
 from repro.graphs.orientation import arb_orient
 from repro.parallel.counters import WorkSpanCounter
@@ -49,13 +50,21 @@ PEEL_COMPARISON = (("amazon", 2, 3), ("dblp", 2, 3), ("dblp", 2, 4),
 
 
 def run_grid(graph_names=GRAPHS, max_s: int = 7):
+    """``(graph, r, s, seconds, strategy, method)`` per configuration.
+
+    ``strategy`` and ``method`` are what the run reported (``None`` for
+    a budget-skipped configuration, which runs nothing).
+    """
     rows = []
     for name in graph_names:
         graph = bench_graph(name)
         for r, s in rs_grid(max_s):
             run = guarded(graph, r, s,
                           lambda: nucleus_decomposition(graph, r, s))
-            rows.append((name, r, s, run.seconds))
+            result = run.payload
+            rows.append((name, r, s, run.seconds,
+                         result.strategy if result else None,
+                         result.method if result else None))
     return rows
 
 
@@ -63,19 +72,18 @@ def build_report(rows=None) -> str:
     if rows is None:
         rows = run_grid()
     by_graph: Dict[str, float] = {}
-    for name, r, s, seconds in rows:
+    for name, r, s, seconds, _, _ in rows:
         if seconds != SKIPPED:
             by_graph[name] = min(by_graph.get(name, float("inf")), seconds)
     out_rows = []
-    for name, r, s, seconds in rows:
+    for name, r, s, seconds, strategy, method in rows:
         if seconds == SKIPPED:
-            out_rows.append((name, f"({r},{s})", "OOM/timeout", "",
-                             choose_method(r, s)))
+            out_rows.append((name, f"({r},{s})", "OOM/timeout", "", ""))
         else:
             fastest = by_graph[name]
             out_rows.append((name, f"({r},{s})", f"{seconds:.4f}s",
                              f"{seconds / fastest:.2f}x",
-                             choose_method(r, s)))
+                             f"{method} ({strategy})"))
     table = format_table(
         ("graph", "(r,s)", "time", "slowdown vs graph-best", "method"),
         out_rows,
@@ -262,9 +270,9 @@ def run_hierarchy_comparison(configs=PEEL_COMPARISON, repeats: int = 3):
 def grid_json_rows(rows):
     """The Figure 7 grid in the uniform json row schema."""
     return [bench_row(name, r, s, seconds, stage="total",
-                      strategy="materialized", backend="serial", workers=1,
-                      method=choose_method(r, s))
-            for name, r, s, seconds in rows]
+                      strategy=strategy, backend="serial", workers=1,
+                      method=method)
+            for name, r, s, seconds, strategy, method in rows]
 
 
 def test_fig7_report():
@@ -272,9 +280,10 @@ def test_fig7_report():
     print(build_report(rows))
     finished = [row for row in rows if row[3] != SKIPPED]
     assert finished, "budget guard skipped everything"
+    assert {row[4:] for row in finished} == {("csr", "anh-te")}
     # Larger (r, s) generally cost more -- check the trend on dblp where
     # the clique counts grow with s (amazon's shrink, like the paper notes).
-    dblp = {(r, s): t for name, r, s, t in finished if name == "dblp"}
+    dblp = {(r, s): t for name, r, s, t, _, _ in finished if name == "dblp"}
     if (2, 3) in dblp and (2, 4) in dblp:
         assert dblp[(2, 4)] > dblp[(2, 3)] * 0.3  # same order or larger
 

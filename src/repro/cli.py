@@ -61,16 +61,19 @@ def _add_decomposition_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", type=int, default=3, help="s (default 3)")
     parser.add_argument("--method", default="auto",
                         choices=("auto",) + EXACT_METHODS,
-                        help="algorithm (default: the paper's auto rule)")
+                        help="algorithm (default auto = anh-te; the others "
+                             "are explicit paper variants or oracles)")
     parser.add_argument("--approx", action="store_true",
                         help="use APPROX-ARB-NUCLEUS (Algorithm 2)")
     parser.add_argument("--delta", type=float, default=0.5,
                         help="approximation parameter (default 0.5)")
-    parser.add_argument("--strategy", "--incidence", default="materialized",
+    parser.add_argument("--strategy", "--incidence", default="csr",
                         choices=INCIDENCE_STRATEGIES, dest="strategy",
-                        help="s-clique incidence strategy: 'materialized' "
-                             "(dict/list), 'reenum' (space-lean), or 'csr' "
-                             "(flat numpy arrays + vectorized peeling)")
+                        help="s-clique incidence strategy: 'csr' (default: "
+                             "flat numpy arrays; with --method auto this "
+                             "runs the vectorized peel and the array "
+                             "ANH-TE tree), 'materialized' (dict/list "
+                             "oracle layout), or 'reenum' (space-lean)")
     parser.add_argument("--kernel", default="auto", choices=KERNEL_CHOICES,
                         help="compute kernel for enumeration, peeling, and "
                              "hierarchy construction: 'auto' (array paths "

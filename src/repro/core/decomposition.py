@@ -41,6 +41,9 @@ class NucleusDecomposition:
     seconds_total: float = 0.0
     seconds_prepare: float = 0.0
     approx_delta: Optional[float] = None
+    #: The s-clique incidence strategy the run used (``None`` if unknown,
+    #: e.g. for a result rebuilt from JSON).
+    strategy: Optional[str] = None
 
     # -- basic accessors -------------------------------------------------
 

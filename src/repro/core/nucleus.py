@@ -264,7 +264,7 @@ class NucleusInput:
         return self.incidence.n_s
 
 
-def prepare(graph: Graph, r: int, s: int, strategy: str = "materialized",
+def prepare(graph: Graph, r: int, s: int, strategy: str = "csr",
             counter: Optional[WorkSpanCounter] = None,
             backend: Optional[ExecutionBackend] = None,
             chunk_size: Optional[int] = None,
@@ -288,7 +288,7 @@ def prepare(graph: Graph, r: int, s: int, strategy: str = "materialized",
 
 
 def arb_nucleus(graph: Graph, r: int, s: int,
-                strategy: str = "materialized",
+                strategy: str = "csr",
                 counter: Optional[WorkSpanCounter] = None,
                 prepared: Optional[NucleusInput] = None,
                 bucketing: str = "julienne",

@@ -57,6 +57,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: ServiceHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; with Nagle on, every
+    # keep-alive response would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -78,7 +81,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                                          "status": status}})
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused: answer and close without reading it.
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body too large ({length} > {MAX_BODY_BYTES})",

@@ -16,13 +16,15 @@ def graph():
 
 
 class TestChooseMethod:
+    """``auto`` runs ANH-TE (the all-array route) for every (r, s)."""
+
     def test_kcore_prefers_te(self):
         assert choose_method(1, 2) == "anh-te"
 
-    def test_small_gap_prefers_el(self):
-        assert choose_method(2, 3) == "anh-el"
-        assert choose_method(2, 4) == "anh-el"
-        assert choose_method(3, 4) == "anh-el"
+    def test_small_gap_prefers_te(self):
+        assert choose_method(2, 3) == "anh-te"
+        assert choose_method(2, 4) == "anh-te"
+        assert choose_method(3, 4) == "anh-te"
 
     def test_large_gap_prefers_te(self):
         assert choose_method(1, 4) == "anh-te"
@@ -40,7 +42,7 @@ class TestMethods:
 
     def test_auto_resolves(self, graph):
         out = nucleus_decomposition(graph, 2, 3, method="auto")
-        assert out.method == "anh-el"
+        assert out.method == "anh-te"
 
     def test_unknown_method(self, graph):
         with pytest.raises(ParameterError):

@@ -210,11 +210,13 @@ class TestSharedMemoryBroadcast:
         assert degraded == serial
 
     def test_non_shareable_contexts_untouched(self, planted):
-        """The loop kernel broadcasts (orientation, index) tuples, which
-        lack the protocol: plain pickling, zero segments -- and still the
-        same fingerprint as the default (array) kernel."""
+        """The loop kernel over the dict incidence broadcasts
+        (orientation, index) tuples, which lack the protocol: plain
+        pickling, zero segments -- and still the same fingerprint as the
+        default (array) kernel."""
         with ProcessBackend(workers=2) as backend:
             run = nucleus_decomposition(planted, 2, 3, backend=backend,
+                                        strategy="materialized",
                                         kernel="loop")
             assert backend.shm_segments() == 0
         assert fingerprint(run) == \

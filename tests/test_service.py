@@ -319,3 +319,61 @@ class TestHTTP:
         cache = stats["cache"]
         assert cache["hits"] > 0
         assert 0.0 < cache["hit_rate"] <= 1.0
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """20 requests on one connection: no delayed-ACK wait per response.
+
+        With Nagle's algorithm on, each keep-alive response's body waits
+        about 40 ms for the client's ACK of the headers, so 20 requests
+        would take at least 0.8 s.
+        """
+        import http.client
+        import json
+        import time
+        from urllib.parse import urlsplit
+        address = urlsplit(server)
+        conn = http.client.HTTPConnection(address.hostname, address.port,
+                                          timeout=10)
+        body = json.dumps({"artifact": "planted", "vertex": 0})
+        headers = {"Content-Type": "application/json"}
+        try:
+            conn.request("POST", "/membership", body=body, headers=headers)
+            conn.getresponse().read()  # warm the cache
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/membership", body=body,
+                             headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 20 * 0.040 / 2, elapsed
+
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_bad_content_length_400(self, server, length):
+        """A negative or non-integer Content-Length gets a structured 400
+        at once; the server must not wait for a body it cannot size."""
+        import json
+        import socket
+        from urllib.parse import urlsplit
+        address = urlsplit(server)
+        request = (f"POST /membership HTTP/1.1\r\n"
+                   f"Host: {address.hostname}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("ascii")
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:  # the server closes the connection after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        error = json.loads(payload.decode("utf-8"))["error"]
+        assert error["status"] == 400
+        assert "Content-Length" in error["message"]
