@@ -86,12 +86,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             length = int(header)
         except ValueError:
             length = -1
-        if length < 0:
-            # The body's extent is unknown, so the connection cannot be
-            # reused: answer and close without reading it.
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused:
+            # answer and close.
             self.close_connection = True
-            raise ServiceError(f"invalid Content-Length {header!r}")
-        if length > MAX_BODY_BYTES:
+            if length < 0:
+                raise ServiceError(f"invalid Content-Length {header!r}")
             raise ServiceError(
                 f"request body too large ({length} > {MAX_BODY_BYTES})",
                 status=413)

@@ -17,6 +17,7 @@ from repro.core.queries import HierarchyQueryIndex
 from repro.errors import ServiceError
 from repro.service import (ArtifactCache, DecompositionService, ENDPOINTS,
                            http_batch, http_query, serve_background)
+from repro.service.http import MAX_BODY_BYTES
 from repro.store import load_artifact, write_artifact
 
 
@@ -351,10 +352,13 @@ class TestHTTP:
             conn.close()
         assert elapsed < 20 * 0.040 / 2, elapsed
 
-    @pytest.mark.parametrize("length", ["-1", "12abc"])
-    def test_bad_content_length_400(self, server, length):
-        """A negative or non-integer Content-Length gets a structured 400
-        at once; the server must not wait for a body it cannot size."""
+    @pytest.mark.parametrize("length,status",
+                             [("-1", 400), ("12abc", 400),
+                              (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_rejected(self, server, length, status):
+        """A negative, non-integer or oversized Content-Length gets a
+        structured error at once, and the server closes the connection
+        instead of waiting for a body it will not read."""
         import json
         import socket
         from urllib.parse import urlsplit
@@ -373,7 +377,6 @@ class TestHTTP:
                     break
                 chunks.append(chunk)
         head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
         error = json.loads(payload.decode("utf-8"))["error"]
-        assert error["status"] == 400
-        assert "Content-Length" in error["message"]
+        assert error["status"] == status
